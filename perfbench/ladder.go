@@ -115,30 +115,12 @@ func traceOverhead(sp spec, seed int64, dir string, rep *report, spans *spanLog,
 	}
 	var untraced, traced []float64
 	for i, withSpans := range []bool{false, true, true, false, false, true} {
-		sys, err := startSystem(sp, seed, filepath.Join(dir, fmt.Sprintf("overhead%d", i)))
-		if err != nil {
-			return err
-		}
 		var log *spanLog
 		if withSpans {
 			log = spans
 		}
-		err = createTenants(sys.tcp, p.creates)
-		var res closedResult
-		if err == nil {
-			res, err = closedPhase(sys, p, log, cnt)
-		}
-		var got []byte
-		if err == nil {
-			got, err = getBody(sys.http + "/v1/snapshots?compact=1")
-		}
-		if serr := sys.shutdown(); err == nil {
-			err = serr
-		}
+		res, err := checkedClosedLoop(sp, seed, filepath.Join(dir, fmt.Sprintf("overhead%d", i)), p, oracle, log, cnt)
 		if err != nil {
-			return err
-		}
-		if _, err := checkSnapshots(sp.name+" closed loop", got, oracle); err != nil {
 			return err
 		}
 		if withSpans {

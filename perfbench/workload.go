@@ -40,7 +40,7 @@ type spec struct {
 var specs = []spec{
 	{name: "fresh-many", tenants: 2048, closed: 1000, openRate: 330000, reps: 5},
 	{name: "long-history", tenants: 4, closed: 100000, openRate: 15000, reps: 3, checkpoint: true},
-	{name: "routed-replicated", tenants: 256, closed: 2000, openRate: 150000, reps: 7, routed: true},
+	{name: "routed-replicated", tenants: 256, closed: 2000, openRate: 150000, reps: 9, routed: true},
 }
 
 func specNamed(name string) (spec, bool) {
@@ -145,9 +145,9 @@ func (s *system) shutdown() error {
 // counts tallies arrivals attempted and failed across a run.
 type counts struct{ attempted, failed int64 }
 
-// runWorkload is the untraced run. Each of sp.reps repetitions starts a
-// fresh system, creates the tenants (setup_s, which extraSetups samples more
-// often), drives the closed loop
+// runWorkload is the untraced run. After an untimed warm-up, each of
+// sp.reps repetitions starts a fresh system, creates the tenants (setup_s,
+// which extraSetups samples more often), drives the closed loop
 // (throughput_aps, cpu_ns_per_arrival, then heap_mb), drives the open loop
 // for seconds (ack latency percentiles) and checks the final state against
 // the oracle; every metric is the median over repetitions. The last
@@ -160,6 +160,9 @@ func runWorkload(sp spec, seed int64, seconds int, dir string, cnt *counts) (*re
 	}
 	oracle, err := oracleSnapshots(seed, p.names, p.streams)
 	if err != nil {
+		return nil, err
+	}
+	if err := warmUp(sp, seed, dir, p, cnt); err != nil {
 		return nil, err
 	}
 	setup, err := extraSetups(sp, seed, dir, p)
@@ -193,6 +196,7 @@ func runWorkload(sp spec, seed int64, seconds int, dir string, cnt *counts) (*re
 		}
 		setup = append(setup, time.Since(t0).Seconds())
 
+		gc0 := gcCount()
 		closed, err := closedPhase(sys, p, nil, cnt)
 		if err != nil {
 			return nil, err
@@ -205,7 +209,9 @@ func runWorkload(sp spec, seed int64, seconds int, dir string, cnt *counts) (*re
 		if sp.checkpoint {
 			reader = startHTTPReader(sys.http, p.names)
 		}
+		gc1 := gcCount()
 		lat, late, err := openPhase(sys, p, sp.openRate, cnt)
+		gc2 := gcCount()
 		if reader != nil {
 			if rerr := reader.stop(); err == nil {
 				err = rerr
@@ -221,9 +227,9 @@ func runWorkload(sp spec, seed int64, seconds int, dir string, cnt *counts) (*re
 		for k := range pct {
 			pct[k] = append(pct[k], v[k])
 		}
-		rep.note("rep %d: setup %.3f s; closed loop %d arrivals in %.3f s; open loop %d arrivals at %.0f/s, ack p50/p99/p99.9 %.1f/%.1f/%.1f us over n=%d (%d beyond p99.9); generator lateness %s%s",
-			i, setup[len(setup)-1], closed.arrivals, closed.elapsed.Seconds(), len(lat), sp.openRate,
-			v[0]/1e3, v[1]/1e3, v[2]/1e3, len(lat), len(lat)-(len(lat)*999+999)/1000, lateness(late), reader.summary())
+		rep.note("rep %d: setup %.3f s; closed loop %d arrivals in %.3f s, %.0f ns CPU each, %d GCs; open loop %d arrivals at %.0f/s, ack p50/p99/p99.9 %.1f/%.1f/%.1f us over n=%d (%d beyond p99.9), %d GCs; generator lateness %s%s",
+			i, setup[len(setup)-1], closed.arrivals, closed.elapsed.Seconds(), closed.cpuNsPerArrival, gc1-gc0-1, len(lat), sp.openRate,
+			v[0]/1e3, v[1]/1e3, v[2]/1e3, len(lat), len(lat)-(len(lat)*999+999)/1000, gc2-gc1, lateness(late), reader.summary())
 
 		got, err := getBody(sys.http + "/v1/snapshots?compact=1")
 		if err != nil {
@@ -254,6 +260,49 @@ func runWorkload(sp spec, seed int64, seconds int, dir string, cnt *counts) (*re
 	}
 	rep.set("restore_s", "s", restoreS)
 	return rep, nil
+}
+
+// warmUp drives one closed loop on a fresh system before anything is timed,
+// so that the process's first heap growth is not charged to the first
+// repetition, and checks it against an oracle of the closed-loop prefixes.
+func warmUp(sp spec, seed int64, dir string, p *plan, cnt *counts) error {
+	prefixes := make([][]req, len(p.streams))
+	for t, s := range p.streams {
+		prefixes[t] = s[:sp.closed]
+	}
+	oracle, err := oracleSnapshots(seed, p.names, prefixes)
+	if err != nil {
+		return err
+	}
+	_, err = checkedClosedLoop(sp, seed, filepath.Join(dir, "warmup"), p, oracle, nil, cnt)
+	return err
+}
+
+// checkedClosedLoop starts a fresh system in dir, creates the tenants,
+// drives the closed loop alone (with spans set, recording them), shuts the
+// system down and checks its final state against oracle.
+func checkedClosedLoop(sp spec, seed int64, dir string, p *plan, oracle []byte, spans *spanLog, cnt *counts) (closedResult, error) {
+	var res closedResult
+	sys, err := startSystem(sp, seed, dir)
+	if err != nil {
+		return res, err
+	}
+	err = createTenants(sys.tcp, p.creates)
+	if err == nil {
+		res, err = closedPhase(sys, p, spans, cnt)
+	}
+	var got []byte
+	if err == nil {
+		got, err = getBody(sys.http + "/v1/snapshots?compact=1")
+	}
+	if serr := sys.shutdown(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return res, err
+	}
+	_, err = checkSnapshots(sp.name+" closed loop", got, oracle)
+	return res, err
 }
 
 // setupSamples is how many times a run times setup: once per repetition,
@@ -580,6 +629,13 @@ func cpuNs() int64 {
 		return 0
 	}
 	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
+// gcCount returns how many collections the process has completed.
+func gcCount() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumGC
 }
 
 // liveHeapMB forces a collection and returns the live heap in MB.
