@@ -30,12 +30,13 @@ import (
 )
 
 // cmdLoadgen drives an omflp serve daemon over HTTP or the framed TCP
-// protocol with configurable concurrency and reports achieved arrivals/s
-// plus latency percentiles. Without -addr it spawns an in-process server on
-// loopback first — "omflp loadgen -mode tcp" benchmarks the whole network
-// stack with one command. Workers partition tenants (tenant t drives on
-// worker t mod conc), so per-tenant arrival order is exactly trace order:
-// driving a server with -trace reproduces the stdin path's snapshots.
+// protocol (JSON creates, binary arrivals) with configurable concurrency
+// and reports achieved arrivals/s plus latency percentiles. Without -addr
+// it spawns an in-process server on loopback first — "omflp loadgen -mode
+// tcp" benchmarks the whole network stack with one command. Workers
+// partition tenants (tenant t drives on worker t mod conc), so per-tenant
+// arrival order is exactly trace order: driving a server with -trace
+// reproduces the stdin path's snapshots.
 func cmdLoadgen(args []string) (retErr error) {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
@@ -57,9 +58,8 @@ func cmdLoadgen(args []string) (retErr error) {
 		rate      = fs.Float64("rate", 0, "open-loop arrival schedule: target arrivals/s across all workers (0 = closed loop, as fast as the server admits)")
 		conc      = fs.Int("conc", 4, "concurrent driver workers (connections in tcp mode)")
 		batch     = fs.Int("batch", 64, "arrivals per HTTP request (http mode)")
-		wire      = fs.String("wire", "json", "tcp frame encoding: json or binary")
-		wireBatch = fs.Int("wire-batch", 64, "arrivals per binary BATCH frame (-wire binary)")
-		window    = fs.Int("window", 0, "windowed acks: max in-flight arrivals per connection (0 = stream without acks; requires -wire binary)")
+		wireBatch = fs.Int("wire-batch", 64, "arrivals per binary BATCH frame (tcp mode)")
+		window    = fs.Int("window", 0, "windowed acks: max in-flight arrivals per connection (0 = stream without acks; tcp mode)")
 		seed      = fs.Int64("seed", 1, "workload + engine seed")
 		algo      = fs.String("algo", "pd", "algorithm for a spawned server: pd or rand")
 		shards    = fs.Int("shards", 0, "shards for a spawned server (0 = GOMAXPROCS)")
@@ -100,28 +100,28 @@ func cmdLoadgen(args []string) (retErr error) {
 	if *conc < 1 {
 		*conc = 1
 	}
-	switch *wire {
-	case "json":
+	// The binary-wire knobs mean nothing over HTTP: fail loudly rather than
+	// silently measure something other than what was asked for.
+	if *mode == "http" {
 		if *window > 0 {
-			return fmt.Errorf("loadgen: -window requires -wire binary")
+			return fmt.Errorf("loadgen: -window requires -mode tcp")
 		}
-	case "binary":
-		if *mode != "tcp" {
-			return fmt.Errorf("loadgen: -wire binary requires -mode tcp")
+		wireBatchSet := false
+		fs.Visit(func(f *flag.Flag) { wireBatchSet = wireBatchSet || f.Name == "wire-batch" })
+		if wireBatchSet {
+			return fmt.Errorf("loadgen: -wire-batch requires -mode tcp")
 		}
-		if *wireBatch < 1 {
-			*wireBatch = 1
-		}
-		if *window < 0 || *window > server.MaxAckWindow {
-			return fmt.Errorf("loadgen: -window must be in 0..%d", server.MaxAckWindow)
-		}
-		// A batch frame larger than the window could never fit the
-		// in-flight budget; clamp so windowed streams make progress.
-		if *window > 0 && *wireBatch > *window {
-			*wireBatch = *window
-		}
-	default:
-		return fmt.Errorf("loadgen: unknown -wire %q (want json or binary)", *wire)
+	}
+	if *wireBatch < 1 {
+		*wireBatch = 1
+	}
+	if *window < 0 || *window > server.MaxAckWindow {
+		return fmt.Errorf("loadgen: -window must be in 0..%d", server.MaxAckWindow)
+	}
+	// A batch frame larger than the window could never fit the in-flight
+	// budget; clamp so windowed streams make progress.
+	if *window > 0 && *wireBatch > *window {
+		*wireBatch = *window
 	}
 
 	// Workload: a trace or op-stream file, or a synthetic uniform workload.
@@ -233,11 +233,11 @@ func cmdLoadgen(args []string) (retErr error) {
 	}
 
 	// Phase 2: drive arrivals with conc workers, tenants partitioned by
-	// worker so per-tenant order is preserved. Payload rendering happens
+	// worker so per-tenant order is preserved. Frame rendering happens
 	// before the clock starts — the measurement is server ingestion, not
-	// client-side JSON marshaling. (Retry mode keeps the raw ops instead:
-	// a resumed stream re-renders from the surviving cursor.)
-	work, err := prepareDrive(*mode, ops, *conc, *rate, *wire, *wireBatch, *window, rp)
+	// client-side encoding. (Retry mode keeps the raw ops instead: a resumed
+	// stream re-renders from the surviving cursor.)
+	work, err := prepareDrive(*mode, ops, *conc, *rate, *wireBatch, *window, rp)
 	if err != nil {
 		return err
 	}
@@ -278,13 +278,9 @@ func cmdLoadgen(args []string) (retErr error) {
 	}
 	if *mode == "http" {
 		rep.Batch = *batch
-	}
-	if *mode == "tcp" {
-		rep.Wire = *wire
-		if *wire == "binary" {
-			rep.Batch = *wireBatch
-			rep.Window = *window
-		}
+	} else {
+		rep.Batch = *wireBatch
+		rep.Window = *window
 	}
 	if len(tgts) > 1 {
 		rep.Targets = len(tgts)
@@ -477,11 +473,12 @@ type loadgenReport struct {
 	// for trace-driven runs.
 	Dist        string `json:"dist,omitempty"`
 	Concurrency int    `json:"concurrency"`
-	Batch       int    `json:"batch,omitempty"`
-	// Wire names the TCP frame encoding (json/binary); Window is the
-	// windowed-ack in-flight budget (0 = no acks). Both tcp-mode only.
-	Wire   string `json:"wire,omitempty"`
-	Window int    `json:"window,omitempty"`
+	// Batch is arrivals per HTTP request (http mode) or per binary BATCH
+	// frame (tcp mode).
+	Batch int `json:"batch,omitempty"`
+	// Window is the windowed-ack in-flight budget (0 = no acks); tcp mode
+	// only.
+	Window int `json:"window,omitempty"`
 	// Targets counts the endpoints a -targets run partitioned tenants
 	// across; absent for single-endpoint runs.
 	Targets int `json:"targets,omitempty"`
@@ -584,7 +581,7 @@ func runCreates(mode string, tgts []*rotation, creates []engine.Op, conc int, rp
 				}
 			}
 		default:
-			if err := streamTCP(tgts[t].pick(), group); err != nil {
+			if err := streamCreates(tgts[t].pick(), group); err != nil {
 				return err
 			}
 		}
@@ -618,7 +615,7 @@ func createHTTP(ep *rotation, op engine.Op, rp clientRetry) error {
 // across the rotation with the same replayed-create tolerance.
 func createTCP(ep *rotation, op engine.Op, rp clientRetry) error {
 	for attempt := 0; ; attempt++ {
-		err := streamTCP(ep.pick(), []engine.Op{op})
+		err := streamCreates(ep.pick(), []engine.Op{op})
 		if err == nil {
 			return nil
 		}
@@ -637,14 +634,12 @@ func createTCP(ep *rotation, op engine.Op, rp clientRetry) error {
 // pre-rendered) share of the arrival stream.
 type driveWork struct {
 	ops      []engine.Op // http mode; also tcp retry mode (resume re-renders)
-	blob     []byte      // tcp closed loop: concatenated frames, ready to write
-	frames   [][]byte    // tcp open loop (json): one pre-rendered frame per arrival
-	bin      []binFrame  // tcp binary wire with pacing and/or windowed acks
+	blob     []byte      // tcp without pacing or acks: concatenated frames, ready to write
+	bin      []binFrame  // tcp with pacing and/or windowed acks
 	window   int
 	arrivals int
-	// wire/wireBatch survive into tcp retry mode, where each attempt
-	// renders frames from the ops that remain after the resume cursor.
-	wire      string
+	// wireBatch survives into tcp retry mode, where each attempt renders
+	// frames from the ops that remain after the resume cursor.
 	wireBatch int
 	// rate is this worker's open-loop target in arrivals/s — its
 	// proportional share of the global -rate (0 = closed loop).
@@ -732,12 +727,13 @@ func renderBinary(ops []engine.Op, batchCap, window int) ([]binFrame, error) {
 
 // prepareDrive partitions the arrivals across conc workers (tenant t on
 // worker t%conc, preserving per-tenant order) and, in tcp mode, renders the
-// frames up front: one blob per worker in closed-loop mode, individual
-// frames when an open-loop -rate or an ack window needs per-send control.
+// binary frames up front: one blob per worker in closed-loop mode,
+// individual frames when an open-loop -rate or an ack window needs per-send
+// control.
 // Each worker's rate is its arrival share of the global rate, so all
 // workers finish the schedule together and the offered aggregate equals
 // -rate.
-func prepareDrive(mode string, ops opSplit, conc int, rate float64, wire string, wireBatch, window int, rp clientRetry) ([]driveWork, error) {
+func prepareDrive(mode string, ops opSplit, conc int, rate float64, wireBatch, window int, rp clientRetry) ([]driveWork, error) {
 	work := make([]driveWork, conc)
 	for _, op := range ops.arrives {
 		w := &work[tenantWorker(op.Tenant, conc)]
@@ -756,67 +752,30 @@ func prepareDrive(mode string, ops opSplit, conc int, rate float64, wire string,
 		// Retry mode keeps the raw ops: a broken stream resumes by asking
 		// the cluster how much was admitted and re-rendering the rest.
 		for i := range work {
-			work[i].wire, work[i].wireBatch, work[i].window = wire, wireBatch, window
+			work[i].wireBatch, work[i].window = wireBatch, window
 		}
 		return work, nil
 	}
 	for i := range work {
-		switch {
-		case wire == "binary":
-			bin, err := renderBinary(work[i].ops, wireBatch, window)
-			if err != nil {
-				return nil, err
-			}
-			if rate == 0 && window == 0 {
-				// No pacing, no acks: collapse into one blob and take the
-				// bulk-write path.
-				var blob bytes.Buffer
-				for _, fr := range bin {
-					blob.Write(fr.data)
-				}
-				work[i].blob = blob.Bytes()
-			} else {
-				work[i].bin = bin
-				work[i].window = window
-			}
-		case rate > 0:
-			frames := make([][]byte, 0, len(work[i].ops))
-			for _, op := range work[i].ops {
-				fr, err := renderFrame(op)
-				if err != nil {
-					return nil, err
-				}
-				frames = append(frames, fr)
-			}
-			work[i].frames = frames
-		default:
+		bin, err := renderBinary(work[i].ops, wireBatch, window)
+		if err != nil {
+			return nil, err
+		}
+		if rate == 0 && window == 0 {
+			// No pacing, no acks: collapse into one blob and take the
+			// bulk-write path.
 			var blob bytes.Buffer
-			for _, op := range work[i].ops {
-				payload, err := json.Marshal(op)
-				if err != nil {
-					return nil, err
-				}
-				if err := server.WriteFrame(&blob, payload); err != nil {
-					return nil, err
-				}
+			for _, fr := range bin {
+				blob.Write(fr.data)
 			}
 			work[i].blob = blob.Bytes()
+		} else {
+			work[i].bin = bin
+			work[i].window = window
 		}
 		work[i].ops = nil
 	}
 	return work, nil
-}
-
-func renderFrame(op engine.Op) ([]byte, error) {
-	payload, err := json.Marshal(op)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := server.WriteFrame(&buf, payload); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // pace sleeps until arrival idx's scheduled send time under an open-loop
@@ -863,8 +822,6 @@ func runArrivals(mode string, tgts, metricsBases []*rotation, work []driveWork, 
 				err = streamResumable(target, httpEp, w, rp)
 			case w.bin != nil:
 				err = streamBinary(target.pick(), w.bin, w.rate, w.window, w.arrivals)
-			case w.rate > 0:
-				err = streamFramesPaced(target.pick(), w.frames, w.rate)
 			default:
 				err = streamBlob(target.pick(), w.blob, w.arrivals)
 			}
@@ -918,39 +875,11 @@ func streamOnce(target string, ops []engine.Op, w driveWork) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if w.wire == "binary" {
-		bin, err := renderBinary(ops, w.wireBatch, w.window)
-		if err != nil {
-			return err
-		}
-		arrivals := 0
-		for _, fr := range bin {
-			arrivals += fr.arrivals
-		}
-		return streamBinary(target, bin, w.rate, w.window, arrivals)
+	bin, err := renderBinary(ops, w.wireBatch, w.window)
+	if err != nil {
+		return err
 	}
-	if w.rate > 0 {
-		frames := make([][]byte, 0, len(ops))
-		for _, op := range ops {
-			fr, err := renderFrame(op)
-			if err != nil {
-				return err
-			}
-			frames = append(frames, fr)
-		}
-		return streamFramesPaced(target, frames, w.rate)
-	}
-	var blob bytes.Buffer
-	for _, op := range ops {
-		payload, err := json.Marshal(op)
-		if err != nil {
-			return err
-		}
-		if err := server.WriteFrame(&blob, payload); err != nil {
-			return err
-		}
-	}
-	return streamBlob(target, blob.Bytes(), len(ops))
+	return streamBinary(target, bin, w.rate, w.window, len(ops))
 }
 
 // pollAdmitted learns each tenant's admitted count — the resume cursor
@@ -1012,29 +941,6 @@ func trimAdmitted(ops []engine.Op, admitted map[string]int64) []engine.Op {
 		out = append(out, op)
 	}
 	return out
-}
-
-// streamFramesPaced writes one worker's frames over a single connection on
-// its open-loop schedule (flushing per frame so pacing is visible on the
-// wire), half-closes and checks the server's ack.
-func streamFramesPaced(target string, frames [][]byte, rate float64) error {
-	conn, err := net.Dial("tcp", target)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	start := time.Now()
-	for i, fr := range frames {
-		pace(start, rate, i)
-		if _, err := bw.Write(fr); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	}
-	return finishStream(conn, len(frames))
 }
 
 // streamBlob writes a pre-rendered frame blob over one connection,
@@ -1311,18 +1217,16 @@ func driveHTTP(ep *rotation, ops []engine.Op, batch int, rate float64, rp client
 	return lats, nil
 }
 
-// streamTCP sends ops as one framed stream, half-closes and awaits the
-// server's result frame. The ack's arrival count must match the arrive ops
-// sent (zero for a creates-only stream).
-func streamTCP(target string, ops []engine.Op) error {
-	arrivals := 0
+// streamCreates sends create ops as JSON frames on one stream, half-closes
+// and awaits the server's result frame.
+func streamCreates(target string, creates []engine.Op) error {
 	conn, err := net.Dial("tcp", target)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	for _, op := range ops {
+	for _, op := range creates {
 		payload, err := json.Marshal(op)
 		if err != nil {
 			return err
@@ -1330,14 +1234,11 @@ func streamTCP(target string, ops []engine.Op) error {
 		if err := server.WriteFrame(bw, payload); err != nil {
 			return err
 		}
-		if op.Op == "arrive" {
-			arrivals++
-		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return finishStream(conn, arrivals)
+	return finishStream(conn, 0)
 }
 
 func postJSON(host, path string, body interface{}) ([]byte, error) {

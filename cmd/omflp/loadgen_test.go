@@ -131,6 +131,13 @@ func TestLoadgenErrors(t *testing.T) {
 	if err := run([]string{"loadgen", "-trace", "/does/not/exist.json"}); err == nil {
 		t.Error("missing trace accepted")
 	}
+	// The binary-wire knobs are tcp-only; over HTTP they must fail loudly.
+	if err := run([]string{"loadgen", "-mode", "http", "-window", "16", "-arrivals", "1"}); err == nil {
+		t.Error("-window accepted in http mode")
+	}
+	if err := run([]string{"loadgen", "-mode", "http", "-wire-batch", "8", "-arrivals", "1"}); err == nil {
+		t.Error("-wire-batch accepted in http mode")
+	}
 }
 
 // TestLoadgenDistAndRate: the zipf/bundled workload mixes and the open-loop

@@ -17,7 +17,8 @@
 //	            [-health-every DUR] [-migrate-threshold F]
 //	omflp loadgen [-mode http|tcp] [-addr HOST:PORT] [-targets H:P,...] [-trace FILE]
 //	              [-dist uniform|zipf|bundled] [-rate N] [-ops-out FILE]
-//	              [-tenants N] [-arrivals N] [-conc N] [-bench-out DIR] [-bench-key K]
+//	              [-tenants N] [-arrivals N] [-conc N] [-wire-batch N] [-window N]
+//	              [-bench-out DIR] [-bench-key K]
 //	omflp ckpt-bench [-histories N,N,...] [-seal-every N] [-out DIR]
 //
 // run/all, serve and loadgen accept -cpuprofile/-memprofile FILE to write
@@ -28,7 +29,8 @@
 // -trace) across sharded multi-tenant serving goroutines, and emits
 // deterministic per-tenant snapshots plus wall-clock metrics. With
 // -listen-http/-listen-tcp it runs as a network daemon (internal/server):
-// an HTTP API plus a length-prefixed TCP op protocol over one shared engine,
+// an HTTP API plus a length-prefixed TCP protocol (JSON create frames,
+// binary arrival frames) over one shared engine,
 // periodic checkpoints to -checkpoint-dir with restore-on-start, and
 // graceful drain on SIGINT/SIGTERM. With -cluster-router the process is a
 // stateless router fronting a fleet of such daemons with the same two
@@ -131,8 +133,9 @@ func usage() {
                                                  route tenants across worker daemons
   omflp loadgen [-mode http|tcp] [-addr HOST:PORT] [-targets H:P,...] [-trace FILE]
                 [-dist uniform|zipf|bundled] [-zipf-s S] [-rate N] [-tenants N]
-                [-arrivals N] [-conc N] [-batch N] [-seed N] [-ops-out FILE]
-                [-bench-out DIR] [-bench-key K] [-http-targets H:P,...]
+                [-arrivals N] [-conc N] [-batch N] [-wire-batch N] [-window N]
+                [-seed N] [-ops-out FILE] [-bench-out DIR] [-bench-key K]
+                [-http-targets H:P,...]
                                                  drive a serve daemon and measure throughput
   omflp ckpt-bench [-histories N,N] [-seal-every N] [-algos pd,rand] [-out DIR]
                                                  benchmark v1 vs v2 checkpoint restores
@@ -162,7 +165,11 @@ With -listen-http/-listen-tcp, serve runs as a network daemon instead:
   GET  /v1/metrics, GET /healthz  engine metrics and liveness
   POST /v1/checkpoint             force a checkpoint now
 The TCP listener ingests length-prefixed frames (4-byte big-endian length +
-one JSON op) and acks each stream once on half-close. -checkpoint-dir DIR
+payload): arrivals are binary BIND/ARRIVE/BATCH frames only, and JSON frames
+carry control ops only (create; a router also takes a standby's follow). A
+JSON arrive frame fails its stream. Each stream gets one result frame on
+half-close, plus coalesced ACK frames after a WINDOW frame (see
+internal/server). -checkpoint-dir DIR
 persists engine state to DIR/engine.ckpt.json (atomic rename) every
 -checkpoint-every; a restarted daemon restores it and resumes every tenant
 with no cost divergence. Checkpoints use format v2: a base snapshot of each
@@ -175,7 +182,10 @@ SIGINT/SIGTERM drains, checkpoints and exits.
 loadgen's synthetic workload takes -dist uniform|zipf|bundled (zipf skews
 commodity popularity with exponent -zipf-s; bundled demands all of S every
 request) and -rate R sends on an open-loop schedule of R arrivals/s across
-all workers (0 = closed loop). ckpt-bench writes BENCH_checkpoint.json
+all workers (0 = closed loop). In tcp mode loadgen sends creates as JSON
+frames and arrivals as binary frames: -wire-batch N arrivals per BATCH frame
+(default 64) and -window N in-flight arrivals under windowed acks (0 = no
+acks); both are rejected in http mode. ckpt-bench writes BENCH_checkpoint.json
 (capture/restore time + raw and flate-compressed bytes per history length,
 v1 vs v2) and fails if a v2 restore replays more than -seal-every arrivals,
 a deep v2 capture loses to v1's full-history marshal, or the compressed v2
@@ -197,7 +207,7 @@ cluster runs get their own section). -targets A,B,... partitions tenants
 across several endpoints (a worker fleet driven directly); -http-targets
 lists the matching HTTP addresses to poll for drain-aware timing. -ops-out
 FILE dumps the op stream as JSON lines and exits — the dump replays through
-serve stdin, loadgen -trace, and the TCP protocol alike.
+serve stdin and through loadgen -trace over either transport.
 
 Cluster mode: omflp serve -cluster-router -nodes A,B -listen-http ADDR
 fronts worker daemons (started with their own -listen-http/-listen-tcp and

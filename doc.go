@@ -45,7 +45,10 @@
 // /v1/tenants/{id} (create), POST /v1/tenants/{id}/arrive (single or
 // batched arrivals), GET /v1/tenants/{id}/snapshot (?compact=1), GET
 // /v1/snapshots, GET /v1/metrics, GET /healthz, POST /v1/checkpoint — and a
-// length-prefixed TCP framing of the same op protocol share one engine.
+// length-prefixed TCP protocol share one engine. On TCP, arrivals are
+// binary BIND/ARRIVE/BATCH frames only; JSON frames carry control ops only
+// (create, and a standby router's follow), and a JSON arrive fails its
+// stream.
 // Engine state checkpoints to <dir>/engine.ckpt.json (atomic rename) on a
 // configurable interval and on graceful shutdown; a restarted daemon
 // restores the checkpoint and resumes every tenant with no cost divergence.

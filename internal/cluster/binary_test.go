@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -48,6 +49,15 @@ func (c *binClient) ref(tenant string) uint64 {
 		c.frame(server.AppendWireBind(nil, r, tenant))
 	}
 	return r
+}
+
+// arrive sends one ARRIVE frame, stamped with traceID when non-zero.
+func (c *binClient) arrive(tenant string, a server.Arrival, traceID uint64) {
+	c.t.Helper()
+	ref := c.ref(tenant)
+	if err := server.WriteFrameTrace(c.bw, server.AppendWireArrive(nil, ref, a.Point, a.Demands), traceID); err != nil {
+		c.t.Fatal(err)
+	}
 }
 
 func (c *binClient) flush() {
@@ -99,9 +109,10 @@ func (c *binClient) finish() (server.TCPResult, int) {
 
 // TestRouterBinaryWireByteIdentity is the cluster half of the wire
 // negotiation contract: a windowed binary client drives two tenants through
-// the router — across a live migration of one of them — while a legacy
-// JSON-framed connection drives the third, and the final cluster artifact is
-// byte-identical to the single-node reference for the same workload.
+// the router — across a live migration of one of them — while a second,
+// unwindowed connection drives the third with singleton ARRIVE frames, and
+// the final cluster artifact is byte-identical to the single-node reference
+// for the same workload.
 func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	const tenants, arrivals, cut = 3, 60, 30
 	want := referenceArtifact(t, 17, tenants, arrivals)
@@ -114,46 +125,21 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 		httpJSON(t, "POST", base+"/v1/tenants/"+tenantName(i), testCreate, http.StatusCreated)
 	}
 
-	// The binary client owns tenants 0 and 2; the legacy JSON client owns
+	// The windowed client owns tenants 0 and 2; the second connection owns
 	// tenant 1. Per-tenant arrival order is all that determinism requires,
-	// so the two connections run concurrently.
-	legacyDone := make(chan server.TCPResult, 1)
-	go func() {
-		conn, err := net.Dial("tcp", r.TCPAddr())
-		if err != nil {
-			t.Error(err)
-			legacyDone <- server.TCPResult{}
-			return
-		}
-		defer conn.Close()
-		bw := bufio.NewWriter(conn)
-		for i := 0; i < arrivals; i++ {
-			if i%tenants != 1 {
-				continue
-			}
-			a := testArrival(i)
-			payload, err := json.Marshal(engine.Op{Op: "arrive", Tenant: tenantName(1), Point: a.Point, Demands: a.Demands})
-			if err != nil {
-				t.Error(err)
-				break
-			}
-			if err := server.WriteFrame(bw, payload); err != nil {
-				t.Error(err)
-				break
+	// so both sessions stay open side by side.
+	other := dialBinary(t, r.TCPAddr())
+	otherSent := 0
+	sendOther := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i%tenants == 1 {
+				other.arrive(tenantName(1), testArrival(i), 0)
+				otherSent++
 			}
 		}
-		bw.Flush()                       //nolint:errcheck
-		conn.(*net.TCPConn).CloseWrite() //nolint:errcheck
-		frame, err := server.ReadFrame(bufio.NewReader(conn), nil)
-		if err != nil {
-			t.Error(err)
-			legacyDone <- server.TCPResult{}
-			return
-		}
-		var res server.TCPResult
-		json.Unmarshal(frame, &res) //nolint:errcheck
-		legacyDone <- res
-	}()
+		other.flush()
+	}
+	sendOther(0, cut)
 
 	c := dialBinary(t, r.TCPAddr())
 	c.frame(server.AppendWireWindow(nil, 8, false))
@@ -202,6 +188,7 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	for _, id := range []string{tenantName(0), tenantName(2)} {
 		c.frame(server.AppendWireBatch(nil, c.ref(id), items[id]))
 	}
+	sendOther(cut, arrivals)
 	res, acked := c.finish()
 	if !res.OK || res.Arrivals != binSent {
 		t.Fatalf("binary result %+v, want ok with %d arrivals", res, binSent)
@@ -209,9 +196,8 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	if acked != binSent {
 		t.Fatalf("router acked %d of %d binary-stream arrivals", acked, binSent)
 	}
-	legacy := <-legacyDone
-	if !legacy.OK || legacy.Arrivals != arrivals/tenants {
-		t.Fatalf("legacy result %+v, want ok with %d arrivals", legacy, arrivals/tenants)
+	if res, _ := other.finish(); !res.OK || res.Arrivals != otherSent || otherSent != arrivals/tenants {
+		t.Fatalf("second stream result %+v after %d sent, want ok with %d arrivals", res, otherSent, arrivals/tenants)
 	}
 
 	got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK)
@@ -220,5 +206,74 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	}
 	if n := r.migrations.Load(); n != 1 {
 		t.Errorf("migrations counter = %d, want 1", n)
+	}
+}
+
+// TestRouterMalformedFrames is the router half of the malformed-frame
+// contract: a bad binary frame, or a JSON arrive (TCP arrivals are
+// binary-only), fails its stream with the matching sentinel in the result
+// frame, forwards nothing to the workers, and leaves the listener serving
+// the next stream.
+func TestRouterMalformedFrames(t *testing.T) {
+	w1 := startWorker(t, 23, "")
+	r := startRouter(t, Config{TCPAddr: "127.0.0.1:0", Nodes: []string{w1.HTTPAddr()}})
+	httpJSON(t, "POST", "http://"+r.HTTPAddr()+"/v1/tenants/a", testCreate, http.StatusCreated)
+
+	truncated := server.AppendWireBatch(nil, 0, []server.WireItem{{Point: 1, Demands: []int{0, 1}}, {Point: 2, Demands: []int{2}}})
+	truncated = truncated[:len(truncated)-1]
+	jsonArrive, err := json.Marshal(engine.Op{Op: "arrive", Tenant: "a", Point: 0, Demands: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		send func(c *binClient)
+		want error
+	}{
+		{"unbound ref", func(c *binClient) {
+			c.frame(server.AppendWireArrive(nil, 42, 0, []int{0}))
+		}, server.ErrWireRef},
+		{"client sends ack", func(c *binClient) {
+			c.frame(server.AppendWireAck(nil, 0, []byte{0}, nil))
+		}, server.ErrWireOp},
+		{"truncated batch", func(c *binClient) {
+			c.ref("a")
+			c.frame(truncated)
+		}, server.ErrWireTruncated},
+		{"json arrive", func(c *binClient) {
+			c.frame(jsonArrive)
+		}, server.ErrWireOp},
+	}
+	served := func() int64 { return w1.Engine().Metrics().Served }
+	ledger := func() int64 {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return r.routes["a"].count.Load()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before, beforeLedger := served(), ledger()
+			c := dialBinary(t, r.TCPAddr())
+			tc.send(c)
+			res, _ := c.finish()
+			if res.OK || res.Arrivals != 0 || !strings.Contains(res.Error, tc.want.Error()) {
+				t.Errorf("result %+v, want failure containing %q with no arrivals", res, tc.want)
+			}
+			if got := ledger(); got != beforeLedger {
+				t.Errorf("route ledger moved by %d on the bad stream, want 0", got-beforeLedger)
+			}
+
+			// The listener still routes the next stream, and the worker
+			// ends up serving exactly that stream's arrival.
+			c = dialBinary(t, r.TCPAddr())
+			c.arrive("a", testArrival(0), 0)
+			if res, _ := c.finish(); !res.OK || res.Arrivals != 1 {
+				t.Fatalf("post-failure stream result %+v, want ok/1", res)
+			}
+			waitFor(t, "the follow-up arrival to be served", func() bool { return served() >= before+1 })
+			if got := served(); got != before+1 {
+				t.Errorf("worker served %d arrivals, want 1", got-before)
+			}
+		})
 	}
 }

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,24 +189,13 @@ func TestRouterByteIdentity(t *testing.T) {
 	}
 }
 
-// streamFrames writes arrive ops for arrivals [lo, hi) over an open framed
-// connection to the router.
-func streamFrames(t *testing.T, bw *bufio.Writer, tenants, lo, hi int) {
-	t.Helper()
+// streamFrames writes arrivals [lo, hi) as ARRIVE frames over an open
+// binary stream to the router.
+func streamFrames(c *binClient, tenants, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		a := testArrival(i)
-		op := engine.Op{Op: "arrive", Tenant: tenantName(i % tenants), Point: a.Point, Demands: a.Demands}
-		payload, err := json.Marshal(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := server.WriteFrame(bw, payload); err != nil {
-			t.Fatal(err)
-		}
+		c.arrive(tenantName(i%tenants), testArrival(i), 0)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	c.flush()
 }
 
 // TestMigrationByteIdentityOverTCP is the live-migration contract end to
@@ -229,13 +216,8 @@ func TestMigrationByteIdentityOverTCP(t *testing.T) {
 		httpJSON(t, "POST", base+"/v1/tenants/"+tenantName(i), testCreate, http.StatusCreated)
 	}
 
-	conn, err := net.Dial("tcp", r.TCPAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	streamFrames(t, bw, tenants, 0, cut)
+	c := dialBinary(t, r.TCPAddr())
+	streamFrames(c, tenants, 0, cut)
 
 	// Move tenant-001 to whichever node doesn't own it, with the stream
 	// still open: Migrate must flush this session's buffered upstream
@@ -262,19 +244,8 @@ func TestMigrationByteIdentityOverTCP(t *testing.T) {
 	}
 
 	// Same connection keeps serving the suffix, now routed to the new owner.
-	streamFrames(t, bw, tenants, cut, arrivals)
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := server.ReadFrame(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tcpRes server.TCPResult
-	if err := json.Unmarshal(frame, &tcpRes); err != nil {
-		t.Fatal(err)
-	}
-	if !tcpRes.OK || tcpRes.Arrivals != arrivals {
+	streamFrames(c, tenants, cut, arrivals)
+	if tcpRes, _ := c.finish(); !tcpRes.OK || tcpRes.Arrivals != arrivals {
 		t.Fatalf("TCP result %+v, want ok with %d arrivals", tcpRes, arrivals)
 	}
 
@@ -393,31 +364,9 @@ func TestRouterSentinels(t *testing.T) {
 	httpJSON(t, "POST", base+"/v1/tenants/a", testCreate, http.StatusCreated)
 	httpJSON(t, "POST", base+"/v1/tenants/a", testCreate, http.StatusConflict)
 
-	conn, err := net.Dial("tcp", r.TCPAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	payload, _ := json.Marshal(engine.Op{Op: "arrive", Tenant: "ghost", Point: 0, Demands: []int{0}})
-	if err := server.WriteFrame(bw, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := server.ReadFrame(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res server.TCPResult
-	if err := json.Unmarshal(frame, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.OK || res.Code != server.CodeUnknownTenant {
+	c := dialBinary(t, r.TCPAddr())
+	c.arrive("ghost", server.Arrival{Point: 0, Demands: []int{0}}, 0)
+	if res, _ := c.finish(); res.OK || res.Code != server.CodeUnknownTenant {
 		t.Errorf("framed unknown-tenant result %+v, want code %q", res, server.CodeUnknownTenant)
 	}
 

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,42 +51,15 @@ func routerFlight(t *testing.T, base, query string) server.FlightDumpDoc {
 	return doc
 }
 
-// streamTracedFrames sends arrivals [lo, hi) over one framed connection to
-// the router, each frame stamped with idBase+i, and awaits the result.
+// streamTracedFrames sends arrivals [lo, hi) over one binary stream to the
+// router, each ARRIVE frame stamped with idBase+i, and awaits the result.
 func streamTracedFrames(t *testing.T, addr string, tenants, lo, hi int, idBase uint64) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
+	c := dialBinary(t, addr)
 	for i := lo; i < hi; i++ {
-		a := testArrival(i)
-		op := engine.Op{Op: "arrive", Tenant: tenantName(i % tenants), Point: a.Point, Demands: a.Demands}
-		payload, err := json.Marshal(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := server.WriteFrameTrace(bw, payload, idBase+uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		c.arrive(tenantName(i%tenants), testArrival(i), idBase+uint64(i))
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := server.ReadFrame(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res server.TCPResult
-	if err := json.Unmarshal(frame, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK || res.Arrivals != hi-lo {
+	if res, _ := c.finish(); !res.OK || res.Arrivals != hi-lo {
 		t.Fatalf("TCP result %+v, want ok with %d arrivals", res, hi-lo)
 	}
 }

@@ -106,7 +106,7 @@ type session struct {
 	refs map[uint64]string
 
 	window  int    // 0 until the client negotiates windowed acks
-	seq     uint64 // arrivals accepted so far (any wire format)
+	seq     uint64 // arrivals accepted so far
 	ackNext uint64 // first sequence number of the next ack frame
 
 	scratch   []int  // demand-id decode scratch
@@ -197,52 +197,6 @@ func (s *session) flushAll() {
 	}
 }
 
-// arrive routes one arrival frame. Mirrors forwardArrivals for the framed
-// protocol: buffer under migration, else write the raw frame to the owner
-// under RLock with the ledger advancing at buffer-write time (flushes are
-// the coordinator's and the idle loop's business). traceID (0 = untraced)
-// rides the upstream frame header; a migration-buffered arrival drops it —
-// the replay path is HTTP and the record would describe the wrong journey.
-func (s *session) arrive(tenant string, point int, demands []int, frame []byte, traceID uint64) error {
-	r := s.r
-	r.mu.RLock()
-	rt := r.routes[tenant]
-	if rt == nil {
-		r.mu.RUnlock()
-		return fmt.Errorf("cluster: tenant %q has no route: %w", tenant, engine.ErrUnknownTenant)
-	}
-	if m := rt.mig; m != nil {
-		// demands aliases the parser's scratch buffer — copy before it is
-		// reused by the next frame.
-		m.add(server.Arrival{Point: point, Demands: append([]int(nil), demands...)})
-		r.mu.RUnlock()
-		s.buffered++
-		return nil
-	}
-	u, err := s.upstream(rt.node)
-	if err == nil {
-		if err = u.writeFrame(frame, traceID); err == nil {
-			rt.count.Add(1)
-		}
-	}
-	fidx := rt.follower
-	var ferr error
-	if err == nil && fidx >= 0 {
-		// Dual-write the identical frame to the follower replica. A JSON
-		// arrive frame names its tenant, so it forwards verbatim.
-		if fu, fe := s.upstream(fidx); fe != nil {
-			ferr = fe
-		} else if ferr = fu.writeFrame(frame, 0); ferr == nil {
-			s.replicated++
-		}
-	}
-	r.mu.RUnlock()
-	if ferr != nil {
-		r.degradeFollower(tenant, fidx, ferr)
-	}
-	return err
-}
-
 // bindRef returns the upstream's ref for tenant, emitting a BIND frame the
 // first time this session addresses the tenant on this upstream.
 func (s *session) bindRef(u *upstream, tenant string) (uint64, error) {
@@ -261,8 +215,12 @@ func (s *session) bindRef(u *upstream, tenant string) (uint64, error) {
 // routeBinary forwards one binary arrive/batch frame carrying count arrivals
 // for tenant: buffered under migration (buffer re-decodes the frame's items
 // with copied demand slices), else re-framed with the owner upstream's ref —
-// everything after the ref is copied verbatim, never re-encoded. The ledger
-// advances by count at buffer-write time, mirroring the JSON path.
+// everything after the ref is copied verbatim, never re-encoded. Mirrors
+// forwardArrivals: the write happens under RLock with the ledger advancing
+// by count at buffer-write time (flushes are the coordinator's and the idle
+// loop's business). traceID (0 = untraced) rides the upstream frame header;
+// a migration-buffered arrival drops it, since the replay is a separate
+// journey the record would misdescribe.
 func (s *session) routeBinary(tenant string, frame []byte, count int, traceID uint64, buffer func(add func(...server.Arrival))) error {
 	r := s.r
 	r.mu.RLock()
@@ -432,8 +390,8 @@ func (r *Router) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn proxies one framed op stream: arrives forward as raw frames to
-// their owner nodes, creates place the tenant and run over HTTP, and at
+// serveConn proxies one framed op stream: binary arrivals are re-framed to
+// their owner nodes, JSON creates place the tenant and run over HTTP, and at
 // half-close the session collects every node's result frame into one
 // aggregate result — the same contract a single node gives, so loadgen and
 // clients cannot tell a router from a server.
@@ -481,31 +439,20 @@ func (r *Router) serveConn(conn net.Conn) {
 			failure = fmt.Errorf("cluster: router is standby for %s: %w", r.cfg.StandbyOf, engine.ErrClosed)
 			break
 		}
-		// Trace context: an inbound id is propagated as-is; otherwise the
-		// router samples so cluster-wide tracing works even when clients
-		// send plain frames.
-		id := wireID
-		if id == 0 {
-			id = r.tracer.Sample()
-		}
 		if server.IsBinaryFrame(frame) {
+			// Trace context: an inbound id is propagated as-is; otherwise
+			// the router samples so cluster-wide tracing works even when
+			// clients send untraced frames.
+			id := wireID
+			if id == 0 {
+				id = r.tracer.Sample()
+			}
 			if failure = sess.handleBinary(frame, id); failure == nil {
 				buf = frame[:0]
 			}
 			continue
 		}
-		if tenant, point, demands, ok := server.FastArrive(frame, sess.scratch[:0]); ok {
-			err := sess.arrive(tenant, point, demands, frame, id)
-			sess.scratch = demands[:0]
-			if err != nil && sess.window == 0 {
-				failure = err
-				break
-			}
-			if failure = sess.ack(1, ackCodeFor(err)); failure == nil {
-				buf = frame[:0]
-			}
-			continue
-		}
+		// JSON frames carry control ops only; arrivals are binary-only.
 		var op engine.Op
 		if err := json.Unmarshal(frame, &op); err != nil {
 			failure = fmt.Errorf("cluster: decoding op: %v", err)
@@ -515,12 +462,7 @@ func (r *Router) serveConn(conn net.Conn) {
 		case "create":
 			failure = r.createTenant(op.Tenant, op.Universe, op.Distances, op.CostBySize)
 		case "arrive":
-			err := sess.arrive(op.Tenant, op.Point, op.Demands, frame, id)
-			if err != nil && sess.window == 0 {
-				failure = err
-			} else {
-				failure = sess.ack(1, ackCodeFor(err))
-			}
+			failure = fmt.Errorf("cluster: JSON arrive frame (TCP arrivals are binary-only): %w", server.ErrWireOp)
 		case "follow":
 			// A standby (or any journal consumer) subscribing to the route
 			// log: stream the base doc, then live events, until it hangs up.

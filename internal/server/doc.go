@@ -1,6 +1,7 @@
 // Package server is the network serving layer that turns the streaming
 // engine into a daemon: an HTTP API and a length-prefixed TCP ingestion
-// protocol multiplex onto one shared engine.Engine, with periodic snapshot
+// protocol (binary arrivals, JSON control ops) multiplex onto one shared
+// engine.Engine, with periodic snapshot
 // checkpointing to disk and restore-on-start.
 //
 // # Endpoints
@@ -30,21 +31,25 @@
 // # Wire formats and negotiation
 //
 // Two payload encodings ride inside the frames, negotiated per frame, not
-// per stream:
+// per stream, with a fixed division of labour:
 //
-//   - JSON: one engine.Op document — the same create/arrive documents the
-//     JSON-lines stdin protocol uses, minus the line discipline. A JSON
-//     payload always starts with '{'.
-//   - Binary: the payload's first byte is WireMagic (0xBF, not a legal
-//     first byte of JSON or UTF-8 text), then WireVersion (0x01), then an
-//     op code, then an op-specific body with every integer an unsigned
-//     varint (encoding/binary). IsBinaryFrame dispatches on the first byte.
+//   - Binary (data plane): the payload's first byte is WireMagic (0xBF,
+//     not a legal first byte of JSON or UTF-8 text), then WireVersion
+//     (0x01), then an op code, then an op-specific body with every integer
+//     an unsigned varint (encoding/binary). IsBinaryFrame dispatches on the
+//     first byte. Binary is the only TCP arrival encoding.
+//   - JSON (control plane): one engine.Op document, the same create
+//     document the JSON-lines stdin protocol uses, minus the line
+//     discipline. A JSON payload always starts with '{'. JSON frames carry
+//     control ops only — create, plus the cluster router's follow for a
+//     standby — and the binary protocol deliberately has no create. A JSON
+//     arrive frame fails the stream with ErrWireOp.
 //
-// Because dispatch is per frame, binary and JSON ops interleave freely on
-// one stream: the usual shape is JSON create ops (control plane — the
-// binary protocol deliberately has no create) followed by binary arrivals
-// (data plane), but any mix is legal and all arrivals, whatever their
-// encoding, share one stream-wide sequence numbering and ack window.
+// Because dispatch is per frame, JSON creates and binary arrivals
+// interleave freely on one stream: the usual shape is the creates followed
+// by the arrivals, but a create may land anywhere and keeps its place in
+// stream order. All arrivals share one stream-wide sequence numbering and
+// ack window.
 //
 // Binary ops (client→server unless noted):
 //
@@ -72,8 +77,9 @@
 // in-flight arrival count (1..MaxAckWindow) and the server thereafter acks
 // every arrival. Acks are coalesced: each ACK frame covers a contiguous run
 // of arrival sequence numbers starting at firstSeq (seq 0 is the stream's
-// first arrival, JSON arrivals included), with one result-code byte per
-// arrival (0 = served) and, when flags bit 0 was set, one serve duration.
+// first arrival; JSON control frames take no seq), with one result-code
+// byte per arrival (0 = served) and, when flags bit 0 was set, one serve
+// duration.
 // The server never buffers state proportional to the window (in-flight data
 // is bounded by the engine mailboxes); the cap exists to reject nonsense
 // loudly. Violations — window of 0 or > MaxAckWindow, WINDOW after an
@@ -93,7 +99,8 @@
 // Decode failures classify under errors.Is-matchable sentinels — ErrWireMagic,
 // ErrWireVersion, ErrWireOp, ErrWireTruncated, ErrWireRef, ErrWireWindow —
 // and fail the stream cleanly: the client still gets a result frame carrying
-// the sentinel text, and the listener keeps serving other connections.
+// the sentinel text, and the listener keeps serving other connections. A
+// JSON arrive frame is refused the same way, under ErrWireOp.
 //
 // # Checkpoints
 //

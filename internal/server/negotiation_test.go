@@ -115,7 +115,7 @@ func (c *binStream) finish() (TCPResult, []WireAckFrame) {
 // TestBinaryWirePathMatchesStdinPath is the tentpole contract for the binary
 // wire: arrivals streamed as BIND/ARRIVE/BATCH frames — windowed or not —
 // must produce tenant snapshots byte-identical to the stdin op-stream path
-// and to the JSON wire under the same seed.
+// under the same seed.
 func TestBinaryWirePathMatchesStdinPath(t *testing.T) {
 	tr := testTrace(59, 90, 5, 11)
 	const tenants = 4
@@ -185,9 +185,10 @@ func TestBinaryWirePathMatchesStdinPath(t *testing.T) {
 	}
 }
 
-// TestMixedWireStream interleaves JSON and binary frames on one connection
-// (negotiation is per frame, not per stream) while a second, JSON-only
-// legacy connection drives other tenants on the same listener.
+// TestMixedWireStream interleaves JSON create frames mid-stream with binary
+// arrivals on one windowed connection (negotiation is per frame, not per
+// stream) while a second connection creates and drives other tenants on the
+// same listener.
 func TestMixedWireStream(t *testing.T) {
 	tr := testTrace(61, 70, 5, 10)
 	const tenants = 4
@@ -196,35 +197,43 @@ func TestMixedWireStream(t *testing.T) {
 	want := stdinSnapshots(t, engCfg, ops)
 
 	s := startServer(t, Config{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", Engine: engCfg})
-	streamOps(t, s.TCPAddr(), ops[:tenants], true)
 
-	// Tenant parity splits the arrivals: even tenants ride the mixed stream
-	// (alternating JSON and binary frames), odd tenants a plain JSON stream.
-	var mixed, legacy []engine.Op
+	// Tenant parity splits the work: even tenants ride the mixed stream,
+	// each created by a JSON frame right before its first binary arrival;
+	// odd tenants ride a second stream of creates followed by arrivals.
+	even := func(op engine.Op) bool { return int(op.Tenant[len(op.Tenant)-1]-'0')%2 == 0 }
+	creates := map[string]engine.Op{}
+	var mixed, other []engine.Op
+	for _, op := range ops[:tenants] {
+		creates[op.Tenant] = op
+		if !even(op) {
+			other = append(other, op)
+		}
+	}
 	for _, op := range ops[tenants:] {
-		if int(op.Tenant[len(op.Tenant)-1]-'0')%2 == 0 {
+		if even(op) {
 			mixed = append(mixed, op)
 		} else {
-			legacy = append(legacy, op)
+			other = append(other, op)
 		}
 	}
 
 	c := dialBin(t, s.TCPAddr())
-	c.window(16, false) // acks must cover JSON arrivals on this stream too
-	for i, op := range mixed {
-		if i%2 == 0 {
-			c.jsonOp(op)
-		} else {
-			c.arrive(op.Tenant, op.Point, op.Demands)
+	c.window(16, false) // creates must not consume window slots
+	created := map[string]bool{}
+	for _, op := range mixed {
+		if !created[op.Tenant] {
+			created[op.Tenant] = true
+			c.jsonOp(creates[op.Tenant])
 		}
+		c.arrive(op.Tenant, op.Point, op.Demands)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		streamOps(t, s.TCPAddr(), legacy, true)
-	}()
+	if len(created) != tenants/2 {
+		t.Fatalf("mixed stream created %d tenants, want %d", len(created), tenants/2)
+	}
+	// The second stream runs start to finish while the mixed one is open.
+	streamOps(t, s.TCPAddr(), other, true)
 	res, acks := c.finish()
-	<-done
 	if !res.OK || res.Arrivals != len(mixed) {
 		t.Fatalf("mixed stream result %+v, want ok with %d arrivals", res, len(mixed))
 	}
@@ -233,7 +242,7 @@ func TestMixedWireStream(t *testing.T) {
 		acked += len(a.Codes)
 	}
 	if acked != len(mixed) {
-		t.Fatalf("mixed stream acked %d of %d arrivals (JSON frames must consume window slots)", acked, len(mixed))
+		t.Fatalf("mixed stream acked %d of %d arrivals", acked, len(mixed))
 	}
 
 	got := httpJSON(t, "GET", "http://"+s.HTTPAddr()+"/v1/snapshots", nil, http.StatusOK)
@@ -242,10 +251,12 @@ func TestMixedWireStream(t *testing.T) {
 	}
 }
 
-// TestBinaryMalformedFrames sends malformed binary frames to a live server
-// and checks each produces a clean failure result carrying the matching
-// sentinel text — never a hang or a bare connection reset — and that the
-// listener keeps serving afterwards.
+// TestBinaryMalformedFrames sends malformed frames — bad binary frames and
+// a JSON arrive, which TCP no longer accepts — to a live server and checks
+// each produces a clean failure result carrying the matching sentinel text
+// (never a hang or a bare connection reset), serves nothing the row did not
+// send before its bad frame, and leaves the listener serving the next
+// stream.
 func TestBinaryMalformedFrames(t *testing.T) {
 	s := startServer(t, Config{TCPAddr: "127.0.0.1:0", Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 1}})
 	streamOps(t, s.TCPAddr(), []engine.Op{{
@@ -259,53 +270,64 @@ func TestBinaryMalformedFrames(t *testing.T) {
 	oversized = binary.AppendUvarint(oversized, 0)
 
 	cases := []struct {
-		name string
-		send func(c *binStream)
-		want string
+		name   string
+		send   func(c *binStream)
+		want   string
+		served int // arrivals legitimately sent before the bad frame
 	}{
 		{"bad version", func(c *binStream) {
 			c.frame([]byte{WireMagic, 0x7E, WireArrive, 0})
-		}, ErrWireVersion.Error()},
+		}, ErrWireVersion.Error(), 0},
 		{"unknown op", func(c *binStream) {
 			c.frame([]byte{WireMagic, WireVersion, 0x6F})
-		}, ErrWireOp.Error()},
+		}, ErrWireOp.Error(), 0},
 		{"client sends ack", func(c *binStream) {
 			c.frame(AppendWireAck(nil, 0, []byte{0}, nil))
-		}, ErrWireOp.Error()},
+		}, ErrWireOp.Error(), 0},
 		{"truncated varint", func(c *binStream) {
 			c.ref("t0")
 			c.frame(truncated[:len(truncated)-1])
-		}, ErrWireTruncated.Error()},
+		}, ErrWireTruncated.Error(), 0},
 		{"unbound ref", func(c *binStream) {
 			c.frame(AppendWireArrive(nil, 42, 0, []int{0}))
-		}, ErrWireRef.Error()},
+		}, ErrWireRef.Error(), 0},
 		{"oversized window", func(c *binStream) {
 			c.frame(oversized)
-		}, ErrWireWindow.Error()},
+		}, ErrWireWindow.Error(), 0},
 		{"window after arrival", func(c *binStream) {
 			c.arrive("t0", 0, []int{0})
 			c.window(8, false)
-		}, ErrWireWindow.Error()},
+		}, ErrWireWindow.Error(), 1},
 		{"duplicate window", func(c *binStream) {
 			c.window(8, false)
 			c.window(8, false)
-		}, ErrWireWindow.Error()},
+		}, ErrWireWindow.Error(), 0},
+		{"json arrive", func(c *binStream) {
+			c.jsonOp(engine.Op{Op: "arrive", Tenant: "t0", Point: 0, Demands: []int{0}})
+		}, ErrWireOp.Error(), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := int(s.Engine().Metrics().Served)
 			c := dialBin(t, s.TCPAddr())
 			tc.send(c)
 			res, _ := c.finish()
-			if res.OK || !strings.Contains(res.Error, tc.want) {
-				t.Errorf("result %+v, want failure containing %q", res, tc.want)
+			if res.OK || res.Arrivals != tc.served || !strings.Contains(res.Error, tc.want) {
+				t.Errorf("result %+v, want failure containing %q after %d arrivals", res, tc.want, tc.served)
+			}
+
+			// The listener still serves the next stream, and the engine
+			// ends up serving exactly that stream's arrival plus the row's
+			// legitimate prefix.
+			c = dialBin(t, s.TCPAddr())
+			c.arrive("t0", 0, []int{0, 1})
+			if res, _ := c.finish(); !res.OK || res.Arrivals != 1 {
+				t.Fatalf("post-failure stream result %+v, want ok/1", res)
+			}
+			awaitServed(t, s, before+tc.served+1)
+			if got := int(s.Engine().Metrics().Served); got != before+tc.served+1 {
+				t.Errorf("served %d arrivals, want %d", got-before, tc.served+1)
 			}
 		})
-	}
-
-	// The listener must still serve clean streams after every failure above.
-	c := dialBin(t, s.TCPAddr())
-	c.arrive("t0", 0, []int{0, 1})
-	if res, _ := c.finish(); !res.OK || res.Arrivals != 1 {
-		t.Fatalf("post-failure stream result %+v, want ok/1", res)
 	}
 }

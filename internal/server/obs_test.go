@@ -209,9 +209,11 @@ func TestTCPWireTraceID(t *testing.T) {
 	}
 	defer conn.Close()
 	const wireID = uint64(0x1122334455667788)
-	payload := []byte(`{"op":"arrive","tenant":"tenant-000","point":2,"demands":[1]}`)
 	bw := bufio.NewWriter(conn)
-	if err := WriteFrameTrace(bw, payload, wireID); err != nil {
+	if err := WriteFrame(bw, AppendWireBind(nil, 0, "tenant-000")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrameTrace(bw, AppendWireArrive(nil, 0, 2, []int{1}), wireID); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -204,8 +204,9 @@ func TestTCPPathMatchesStdinPath(t *testing.T) {
 	}
 }
 
-// streamOps sends ops as frames over one TCP connection, half-closes, and
-// (when await is set) verifies the server's result frame.
+// streamOps sends ops over one TCP connection — creates as JSON frames,
+// arrivals as binary ARRIVE frames (BIND on each tenant's first use) —
+// half-closes, and (when await is set) verifies the server's result frame.
 func streamOps(t *testing.T, addr string, ops []engine.Op, await bool) TCPResult {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -214,17 +215,26 @@ func streamOps(t *testing.T, addr string, ops []engine.Op, await bool) TCPResult
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
+	refs := map[string]uint64{}
 	arrivals := 0
 	for _, op := range ops {
-		payload, err := json.Marshal(op)
-		if err != nil {
+		var payload []byte
+		if op.Op == "arrive" {
+			ref, ok := refs[op.Tenant]
+			if !ok {
+				ref = uint64(len(refs))
+				refs[op.Tenant] = ref
+				if err := WriteFrame(bw, AppendWireBind(nil, ref, op.Tenant)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			payload = AppendWireArrive(nil, ref, op.Point, op.Demands)
+			arrivals++
+		} else if payload, err = json.Marshal(op); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteFrame(bw, payload); err != nil {
 			t.Fatal(err)
-		}
-		if op.Op == "arrive" {
-			arrivals++
 		}
 	}
 	if err := bw.Flush(); err != nil {

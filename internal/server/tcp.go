@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -146,82 +145,6 @@ func ErrorCode(err error) string {
 	}
 }
 
-// arrivePrefix is the byte shape json.Marshal gives an arrive op's head;
-// FastArrive only accepts frames in exactly this canonical form.
-var (
-	arrivePrefix  = []byte(`{"op":"arrive","tenant":"`)
-	pointSep      = []byte(`","point":`)
-	demandsSep    = []byte(`,"demands":[`)
-	arriveClosing = []byte(`]}`)
-)
-
-// FastArrive parses the canonical arrive frame
-// {"op":"arrive","tenant":"...","point":N,"demands":[..]} without
-// encoding/json — the per-op hot path of TCP ingestion, exported so the
-// cluster router can pick a frame's tenant without a decode. ok is false for
-// anything unexpected (field order, escapes, other ops); callers then fall
-// back to the general decoder, so this is a pure fast path, never a
-// behavior change. demands is appended to ids (pass a reusable scratch;
-// commodity.New copies values into a bitset).
-func FastArrive(b []byte, ids []int) (tenant string, point int, demands []int, ok bool) {
-	if !bytes.HasPrefix(b, arrivePrefix) {
-		return "", 0, nil, false
-	}
-	b = b[len(arrivePrefix):]
-	end := bytes.IndexByte(b, '"')
-	if end < 0 || bytes.IndexByte(b[:end], '\\') >= 0 {
-		return "", 0, nil, false
-	}
-	tenant = string(b[:end])
-	b = b[end:]
-	if !bytes.HasPrefix(b, pointSep) {
-		return "", 0, nil, false
-	}
-	b = b[len(pointSep):]
-	point, b, ok = parseInt(b)
-	if !ok || !bytes.HasPrefix(b, demandsSep) {
-		return "", 0, nil, false
-	}
-	b = b[len(demandsSep):]
-	for {
-		var id int
-		id, b, ok = parseInt(b)
-		if !ok {
-			return "", 0, nil, false
-		}
-		ids = append(ids, id)
-		if len(b) == 0 {
-			return "", 0, nil, false
-		}
-		if b[0] == ',' {
-			b = b[1:]
-			continue
-		}
-		break
-	}
-	if !bytes.Equal(b, arriveClosing) {
-		return "", 0, nil, false
-	}
-	return tenant, point, ids, true
-}
-
-// parseInt consumes a non-negative decimal integer prefix (engine points and
-// commodity ids are never negative; anything else falls back to the general
-// decoder).
-func parseInt(b []byte) (int, []byte, bool) {
-	n, i := 0, 0
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		if n > (1<<62)/10 {
-			return 0, b, false
-		}
-		n = n*10 + int(b[i]-'0')
-	}
-	if i == 0 {
-		return 0, b, false
-	}
-	return n, b[i:], true
-}
-
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.loops.Done()
 	for {
@@ -245,13 +168,12 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // connOp is one unit handed from the connection reader to the feeder
 // goroutine: either a run of same-tenant arrivals (batch != nil) or one
-// generic JSON op (creates and anything else that must keep stream order).
+// JSON control op (a create), which must keep its place in stream order.
 type connOp struct {
 	tenant   string
 	batch    []engine.BatchItem
 	firstSeq uint64
 	op       *engine.Op
-	rec      *obs.OpRecord
 }
 
 // ackSpan is one completed engine batch awaiting ack emission.
@@ -395,10 +317,8 @@ func (f *tcpFeed) run(opCh chan connOp) {
 			continue // failure latched: drain without applying
 		}
 		if co.op != nil {
-			if err := f.s.eng.ApplyTraced(*co.op, co.rec); err != nil {
+			if err := f.s.eng.Apply(*co.op); err != nil {
 				f.fail(err)
-			} else if co.op.Op == "arrive" {
-				f.arrivals++
 			}
 			continue
 		}
@@ -435,12 +355,12 @@ type tcpConn struct {
 	batchCap int
 
 	refs   map[uint64]string // binary tenant refs, declared by BIND frames
-	seq    uint64            // next arrival sequence number (all wire formats)
+	seq    uint64            // next arrival sequence number
 	window int               // 0 until a WINDOW frame arrives
 
 	// pending is the open run of same-tenant arrivals not yet handed to
 	// the feeder. Flushed when the tenant changes, the run hits batchCap,
-	// a non-arrive op needs ordering, or the read buffer drains (no more
+	// a JSON control op needs ordering, or the read buffer drains (no more
 	// pipelined frames to coalesce with).
 	pending       []engine.BatchItem
 	pendingTenant string
@@ -563,37 +483,19 @@ func (c *tcpConn) handleBinary(frame []byte, rec *obs.OpRecord) error {
 	return nil // unreachable: WireFrameKind rejects unknown ops
 }
 
-// handleJSON dispatches one JSON frame: the canonical arrive fast path, the
-// general-decoder arrive, or a generic op through the ordered queue.
-func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
-	// Hot path: canonical arrive frames (the exact byte shape json.Marshal
-	// gives an arrive op) skip encoding/json entirely.
-	if tenant, point, demands, ok := FastArrive(frame, c.scratch[:0]); ok {
-		c.scratch = demands[:0]
-		if rec != nil {
-			rec.Tenant = tenant
-			rec.MarkDecoded(1)
-		}
-		c.addArrival(tenant, point, demands, rec)
-		return nil
-	}
+// handleJSON dispatches one JSON control frame (a create) through the
+// ordered queue. Arrivals are binary-only on TCP: a JSON arrive fails the
+// stream with ErrWireOp, the same refusal a client-sent ACK gets.
+func (c *tcpConn) handleJSON(frame []byte) error {
 	var op engine.Op
 	if err := json.Unmarshal(frame, &op); err != nil {
 		return fmt.Errorf("server: decoding op: %v", err)
 	}
-	if rec != nil {
-		rec.Tenant = op.Tenant
-		rec.MarkDecoded(1)
+	if op.Op == "arrive" {
+		return fmt.Errorf("server: JSON arrive frame (TCP arrivals are binary-only): %w", ErrWireOp)
 	}
-	// Arrives join the batch path so windowed streams ack them like any
-	// other arrival; the empty-demands case stays on the generic path for
-	// ApplyTraced's error message (it can never be served).
-	if op.Op == "arrive" && len(op.Demands) > 0 {
-		c.addArrival(op.Tenant, op.Point, op.Demands, rec)
-		return nil
-	}
-	c.flush() // generic ops (creates) must keep stream order
-	c.opCh <- connOp{op: &op, rec: rec}
+	c.flush() // control ops keep stream order
+	c.opCh <- connOp{op: &op}
 	return nil
 }
 
@@ -606,8 +508,9 @@ func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
 // arrival order is preserved within a connection; clients that split one
 // tenant across connections order their own arrivals.
 //
-// Tracing: a frame carrying a wire trace id (a router upstream) is always
-// traced under that id; otherwise the engine's tracer samples locally. The
+// Tracing covers binary frames (JSON control ops are never traced): a frame
+// carrying a wire trace id (a router upstream) is always traced under that
+// id; otherwise the engine's tracer samples locally. The
 // sampled-out path allocates nothing — one atomic increment, then nil
 // checks.
 func (s *Server) serveConn(conn net.Conn) {
@@ -639,18 +542,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 		if len(frame) != 0 {
-			id := wireID
-			if id == 0 {
-				id = tracer.Sample()
-			}
-			var rec *obs.OpRecord
-			if id != 0 {
-				rec = obs.NewOpRecord(id, "") // decode starts now; tenant known after parse
-			}
 			if IsBinaryFrame(frame) {
+				id := wireID
+				if id == 0 {
+					id = tracer.Sample()
+				}
+				var rec *obs.OpRecord
+				if id != 0 {
+					rec = obs.NewOpRecord(id, "") // decode starts now; tenant known after parse
+				}
 				readerErr = c.handleBinary(frame, rec)
 			} else {
-				readerErr = c.handleJSON(frame, rec)
+				readerErr = c.handleJSON(frame)
 			}
 			if readerErr != nil {
 				break

@@ -2,73 +2,8 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"math/rand"
-	"reflect"
 	"testing"
-
-	"repro/internal/engine"
 )
-
-// TestFastArriveMatchesJSON is the fast path's differential contract: on
-// every canonical arrive frame it must agree with encoding/json, and on
-// everything else it must decline (ok=false) rather than misparse.
-func TestFastArriveMatchesJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 500; trial++ {
-		op := engine.Op{Op: "arrive", Tenant: randName(rng), Point: rng.Intn(1000)}
-		for k := 0; k <= rng.Intn(5); k++ {
-			op.Demands = append(op.Demands, rng.Intn(64))
-		}
-		payload, err := json.Marshal(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenant, point, demands, ok := FastArrive(payload, nil)
-		if !ok {
-			t.Fatalf("fast path declined canonical frame %s", payload)
-		}
-		if tenant != op.Tenant || point != op.Point || !reflect.DeepEqual(demands, op.Demands) {
-			t.Fatalf("fast path parsed %s as (%q,%d,%v), want (%q,%d,%v)",
-				payload, tenant, point, demands, op.Tenant, op.Point, op.Demands)
-		}
-	}
-
-	// Non-canonical or non-arrive inputs must decline, never misparse.
-	for _, in := range []string{
-		`{"op":"create","tenant":"a","universe":2}`,
-		`{"tenant":"a","op":"arrive","point":1,"demands":[0]}`, // field order
-		`{"op":"arrive","tenant":"a\"b","point":1,"demands":[0]}`,
-		`{"op":"arrive","tenant":"a\\\"b","point":1,"demands":[0]}`, // escape
-		`{"op":"arrive","tenant":"a","point":-1,"demands":[0]}`,     // negative
-		`{"op":"arrive","tenant":"a","point":1,"demands":[]}`,       // empty
-		`{"op":"arrive","tenant":"a","point":1,"demands":[0],"x":1}`,
-		`{"op":"arrive","tenant":"a","point":1.5,"demands":[0]}`,
-		`{"op":"arrive","tenant":"a","point":99999999999999999999,"demands":[0]}`,
-		``,
-		`{}`,
-	} {
-		if tenant, point, demands, ok := FastArrive([]byte(in), nil); ok {
-			// The only acceptable "ok" is when encoding/json agrees exactly.
-			var op engine.Op
-			if err := json.Unmarshal([]byte(in), &op); err != nil ||
-				op.Op != "arrive" || op.Tenant != tenant || op.Point != point ||
-				!reflect.DeepEqual(op.Demands, demands) {
-				t.Errorf("fast path accepted %q as (%q,%d,%v)", in, tenant, point, demands)
-			}
-		}
-	}
-}
-
-func randName(rng *rand.Rand) string {
-	const alpha = "abcdefghijklmnopqrstuvwxyz-0123456789"
-	n := 1 + rng.Intn(12)
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = alpha[rng.Intn(len(alpha))]
-	}
-	return string(out)
-}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
