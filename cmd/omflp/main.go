@@ -188,8 +188,9 @@ frames and arrivals as binary frames: -wire-batch N arrivals per BATCH frame
 acks); both are rejected in http mode. ckpt-bench writes BENCH_checkpoint.json
 (capture/restore time + raw and flate-compressed bytes per history length,
 v1 vs v2) and fails if a v2 restore replays more than -seal-every arrivals,
-a deep v2 capture loses to v1's full-history marshal, or the compressed v2
-artifact is not smaller than v1's raw document.
+a deep v2 capture loses to v1's full-history marshal, the compressed v2
+artifact is not smaller than v1's raw document, or a deep v2 restore loses
+to v1's full replay on the wall clock.
 
 Quickstart:
   omflp serve -listen-http 127.0.0.1:8080 -checkpoint-dir /tmp/omflp &

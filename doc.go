@@ -65,22 +65,29 @@
 // algorithm implements StateCodec — MarshalState/UnmarshalState capture the
 // complete serving state (PD's duals, credits and bid accumulators; RAND's
 // open facilities and rng position; the baselines' ledgers) such that a
-// restored instance serves any suffix bit-identically. A tenant checkpoint
-// is therefore a base state snapshot plus the append-only arrival-log
-// segment served since; Config.SealEvery (CLI: -checkpoint-seal-every)
-// re-bases a tenant once its tail exceeds N arrivals, so Restore loads the
-// state and replays O(SealEvery) arrivals instead of O(history) — at 1e5
-// arrivals a v2 restore is two orders of magnitude faster than the v1 full
-// replay (BENCH_checkpoint.json, regenerated by "omflp ckpt-bench", records
-// capture/restore time and raw + compressed bytes for both formats and
-// gates on v2's replay work staying flat). On disk, base states are
-// flate-compressed (flagged in the checkpoint header as compression:
-// "flate", stored per tenant as base_state_z), cutting the state-bytes
-// overhead v2 carries below even v1's raw size; uncompressed v2 and legacy
-// v1 documents remain restorable, and the next Checkpoint call migrates v1
-// to v2. Without Config.RecordArrivals
-// the engine checkpoints by marshaling state at capture time — no arrival
-// history at all, nothing replayed on restore.
+// restored instance serves any suffix bit-identically. PD's state is binary
+// with floats as raw IEEE-754 bits; its per-arrival rows are encoded once
+// into an append-only cache and its credit ledgers hold only live (> 0)
+// credits, so a marshal costs O(arrivals since the last one + live credits
+// + |S|·candidates) plus a copy of the cache. The other algorithms' states
+// are JSON; in the checkpoint document every base state is bytes (base64).
+// A tenant checkpoint is therefore a base state snapshot plus the
+// append-only arrival-log segment served since; Config.SealEvery (CLI:
+// -checkpoint-seal-every) re-bases a tenant once its tail exceeds N
+// arrivals, so Restore loads the state and replays O(SealEvery) arrivals
+// instead of O(history). BENCH_checkpoint.json, regenerated by "omflp
+// ckpt-bench", records capture/restore time and raw + compressed bytes for
+// both formats; it gates on v2's replay work staying flat, on a deep v2
+// capture and a deep v2 restore both beating v1 on the wall clock (at 1e5
+// arrivals PD restores in ~23 ms vs ~93 ms of v1 replay), and on the
+// compressed v2 artifact being smaller than v1's raw one. On disk, base
+// states are flate-compressed (flagged in the checkpoint header as
+// compression: "flate", stored per tenant as base_state_z); uncompressed v2
+// and legacy v1 documents remain restorable, and the next Checkpoint call
+// migrates v1 to v2. A PD base state in the retired JSON layout (schema 1)
+// is refused with a schema error. Without Config.RecordArrivals the engine checkpoints
+// by marshaling state at capture time — no arrival history at all, nothing
+// replayed on restore.
 //
 // Clustering. One process tops out at cores × arrivals/s, so omflp serve
 // also runs as a multi-node cluster (see internal/cluster): worker nodes

@@ -13,14 +13,20 @@
 //     the unconditional credit sweep of the pre-refactor implementation,
 //     which is why a violation must crash instead of silently degrading the
 //     competitive ratio.
+//     Every recorded credit is also live (> 0): dead credits bid nothing
+//     and are pruned, so the ledgers — and the serialized state — hold only
+//     credits that can still matter, and liveSmall lists exactly the
+//     commodities whose ledger is non-empty.
 //  2. Bid-accumulator consistency: the incremental Constraint (3)/(4) bid
 //     rows (bidSmall, bidLarge) must agree with a from-scratch recomputation
 //     over the full credit history (naiveSmallBids, naiveLargeBids) to
 //     within accumulation tolerance.
+//  3. Row-cache fidelity: the append-only encoding cache MarshalState copies
+//     instead of re-encoding must equal a fresh encode of the same rows.
 //
-// Both checks rescan the credit history, so arrivals past the first
-// invariantsFullWindow are checked on a stride — dense coverage early (where
-// differential tests live), bounded overhead on long workloads.
+// All three rescan history, so arrivals past the first invariantsFullWindow
+// are checked on a stride — dense coverage early (where differential tests
+// live), bounded overhead on long workloads.
 package core
 
 import (
@@ -52,14 +58,29 @@ func (pd *PDOMFLP) assertInvariants() {
 	}
 	pd.assertCreditInvariant()
 	pd.assertBidConsistency()
+	pd.assertRowCache()
 }
 
 // assertCreditInvariant checks property 1. Distances are recomputed by a
 // direct scan over the open facilities rather than through facilityIndex, so
 // the assertion cannot mask a stale nearest-cache by reading through it.
 func (pd *PDOMFLP) assertCreditInvariant() {
+	live, listed := 0, make([]bool, pd.u)
+	for _, e := range pd.liveSmall {
+		if listed[e] || len(pd.creditSmall[e]) == 0 {
+			panic(fmt.Sprintf("core: invariant violation: liveSmall lists commodity %d twice or with an empty ledger", e))
+		}
+		listed[e] = true
+	}
 	for e, credits := range pd.creditSmall {
+		if len(credits) > 0 {
+			live++
+		}
 		for j, cr := range credits {
+			if !(cr.credit > 0) {
+				panic(fmt.Sprintf("core: invariant violation: dead small credit %d of commodity %d at point %d is %g",
+					j, e, cr.point, cr.credit))
+			}
 			d := pd.scanNearestOffering(e, cr.point)
 			if cr.credit > d+pdEps*(1+d) {
 				panic(fmt.Sprintf(
@@ -68,7 +89,14 @@ func (pd *PDOMFLP) assertCreditInvariant() {
 			}
 		}
 	}
+	if live != len(pd.liveSmall) {
+		panic(fmt.Sprintf("core: invariant violation: liveSmall lists %d commodities, %d ledgers are non-empty",
+			len(pd.liveSmall), live))
+	}
 	for j, cr := range pd.creditLarge {
+		if !(cr.credit > 0) {
+			panic(fmt.Sprintf("core: invariant violation: dead large credit %d at point %d is %g", j, cr.point, cr.credit))
+		}
 		d := pd.scanNearestLarge(cr.point)
 		if cr.credit > d+pdEps*(1+d) {
 			panic(fmt.Sprintf(
@@ -106,6 +134,19 @@ func assertBidRow(kind string, e int, got, want []float64) {
 				"core: invariant violation: %s bid row (commodity %d) candidate %d: incremental %g vs naive %g (diff %g)",
 				kind, e, ci, got[ci], want[ci], diff))
 		}
+	}
+}
+
+// assertRowCache checks property 3: the cached row encoding is byte-equal
+// to a fresh encode of the rows it covers.
+func (pd *PDOMFLP) assertRowCache() {
+	var fresh []byte
+	for i := 0; i < pd.rowEncN; i++ {
+		fresh = pd.appendRow(fresh, i)
+	}
+	if string(fresh) != string(pd.rowEnc) {
+		panic(fmt.Sprintf("core: invariant violation: row cache of %d rows (%d bytes) differs from a fresh encode (%d bytes)",
+			pd.rowEncN, len(pd.rowEnc), len(fresh)))
 	}
 }
 

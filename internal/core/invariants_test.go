@@ -104,3 +104,42 @@ func TestThresholdCacheDivergencePanics(t *testing.T) {
 		pd.Serve(instance.Request{Point: 0, Demands: commodity.New(0)})
 	})
 }
+
+// TestDeadCreditViolationPanics zeroes a recorded credit — which pruning
+// never leaves in a ledger — and checks that the assertion layer refuses it.
+// It also lists a commodity in liveSmall twice, which the same check trips.
+func TestDeadCreditViolationPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	u := 2
+	space := metric.RandomLine(rng, 5, 10)
+	pd := NewPDOMFLP(space, cost.PowerLaw(u, 1, 1.5), Options{})
+	serveRandom(pd, rng, space, u, 20)
+	if len(pd.creditLarge) == 0 || len(pd.liveSmall) == 0 {
+		t.Fatal("workload left no live credits")
+	}
+	saved := pd.creditLarge[0].credit
+	pd.creditLarge[0].credit = 0
+	mustPanic(t, "invariant violation: dead large credit", pd.assertInvariants)
+	pd.creditLarge[0].credit = saved
+
+	pd.liveSmall = append(pd.liveSmall, pd.liveSmall[0])
+	mustPanic(t, "invariant violation: liveSmall lists", pd.assertInvariants)
+}
+
+// TestRowCacheViolationPanics flips one byte of the cached row encoding
+// after a marshal filled it and checks that the fresh-encode comparison
+// catches it on the next arrival.
+func TestRowCacheViolationPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	u := 3
+	space := metric.RandomLine(rng, 5, 10)
+	pd := NewPDOMFLP(space, cost.PowerLaw(u, 1, 1.5), Options{})
+	serveRandom(pd, rng, space, u, 20)
+	if _, err := pd.MarshalState(); err != nil {
+		t.Fatal(err)
+	}
+	pd.rowEnc[len(pd.rowEnc)/2] ^= 0x40
+	mustPanic(t, "invariant violation: row cache", func() {
+		pd.Serve(instance.Request{Point: 0, Demands: commodity.New(0)})
+	})
+}

@@ -50,17 +50,26 @@ type PDOMFLP struct {
 	duals     [][]float64
 	demandIDs [][]int
 	points    []int
+	// dualSum is Σ duals, accumulated row by row as rows freeze — the same
+	// addition order as rescanning every row, so DualTotal is bit-identical
+	// to the full loop at O(1). Derived state: rebuilt on UnmarshalState.
+	dualSum float64
 
 	// creditSmall[e] holds, per earlier request demanding e, the bid cap
-	// min{a_je, d(F(e), j)} kept current as facilities open.
+	// min{a_je, d(F(e), j)} kept current as facilities open. Only live
+	// credits (> 0) are kept, in request order: a credit that reaches 0
+	// bids (0 − d)_+ = 0 toward every candidate and is never raised again,
+	// so it is never recorded, and a refresh that lowers one to 0 drops it.
 	creditSmall [][]pdCredit
-	// creditLarge holds, per earlier request, min{Σ_e a_je, d(F̂, j)}.
+	// creditLarge holds, per earlier request, min{Σ_e a_je, d(F̂, j)}, pruned
+	// of dead credits like creditSmall.
 	creditLarge []pdCredit
-	// liveSmall lists the commodities with at least one recorded credit, in
-	// first-credit order, so the refresh after a large opening touches only
-	// live rows instead of sweeping all u of them. Derived state: rebuilt
-	// (in ascending order — rows are independent, so order is irrelevant)
-	// on UnmarshalState, never serialized.
+	// liveSmall lists the commodities whose credit row is non-empty, so the
+	// refresh after a large opening touches only live rows instead of
+	// sweeping all u of them. A row leaves the list when its last credit is
+	// dropped and rejoins it with its next recorded credit. Derived state:
+	// rebuilt (in ascending order — rows are independent, so order is
+	// irrelevant) on UnmarshalState, never serialized.
 	liveSmall []int
 
 	// bidSmall[e][ci] = Σ_j (creditSmall[e][j].credit − d(m_ci, j.point))_+,
@@ -101,6 +110,12 @@ type PDOMFLP struct {
 	distHistory map[int][]analysisRecord //omflp:nostate — diagnostic only; MarshalState refuses TraceAnalysis instances
 	// facBoundary[i] = number of facilities after arrival i (for ServeLog).
 	facBoundary []int
+	// rowEnc caches the state encoding of the first rowEncN per-arrival rows
+	// (point, demands, duals, facility boundary, assignment links). A row
+	// never changes once its arrival is served, so MarshalState encodes
+	// each row exactly once and otherwise copies this append-only cache.
+	rowEnc  []byte //omflp:nostate — encoding cache of the serialized rows, rebuilt from the state bytes on UnmarshalState
+	rowEncN int    //omflp:nostate — number of rows in rowEnc
 }
 
 type pdCredit struct {
@@ -472,11 +487,9 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 
 	// Materialize the outcome. Only the retained rows allocate: the frozen
 	// dual row and the assignment links.
-	pd.points = append(pd.points, p)
-	pd.demandIDs = append(pd.demandIDs, ids)
 	aRow := make([]float64, k)
 	copy(aRow, a)
-	pd.duals = append(pd.duals, aRow)
+	pd.freezeRow(p, ids, aRow)
 
 	var links []int
 	if largeServed >= 0 {
@@ -527,6 +540,7 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 		}
 		for _, tmp := range temps {
 			pd.refreshSmallAt(tmp.e, tmp.ci)
+			pd.retireIfEmpty(tmp.e)
 		}
 		s.opened, s.links = opened[:0], linkBuf[:0]
 	}
@@ -545,6 +559,17 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 	}
 	_, dHat := pd.fx.nearestLarge(p)
 	pd.addCreditLarge(p, math.Min(sumA, dHat))
+}
+
+// freezeRow appends the arrival's point, demands and frozen duals, folding
+// the duals into the running total in row order.
+func (pd *PDOMFLP) freezeRow(p int, ids []int, duals []float64) {
+	pd.points = append(pd.points, p)
+	pd.demandIDs = append(pd.demandIDs, ids)
+	pd.duals = append(pd.duals, duals)
+	for _, v := range duals {
+		pd.dualSum += v
+	}
 }
 
 // tightSmall is the pre-refactor Constraint (3) candidate scan, verbatim:
@@ -755,9 +780,7 @@ func (pd *PDOMFLP) serveReference(r instance.Request) {
 	}
 
 	// Materialize the outcome.
-	pd.points = append(pd.points, p)
-	pd.demandIDs = append(pd.demandIDs, ids)
-	pd.duals = append(pd.duals, a)
+	pd.freezeRow(p, ids, a)
 
 	var links []int
 	if largeServed >= 0 {
@@ -789,6 +812,7 @@ func (pd *PDOMFLP) serveReference(r instance.Request) {
 		}
 		for _, tmp := range temps {
 			pd.refreshCreditsForSmall(tmp.e, tmp.m)
+			pd.retireIfEmpty(tmp.e)
 		}
 	}
 	pd.fx.sol.Assign = append(pd.fx.sol.Assign, links)
@@ -825,8 +849,12 @@ func (pd *PDOMFLP) addBid(row []float64, p int, credit float64, thr *pdThrRow) {
 }
 
 // addCreditSmall records a new small-facility credit for commodity e and
-// folds its contribution into the per-candidate bid accumulators.
+// folds its contribution into the per-candidate bid accumulators. A credit
+// that is not > 0 is dead on arrival and not recorded.
 func (pd *PDOMFLP) addCreditSmall(e, p int, credit float64) {
+	if !(credit > 0) {
+		return
+	}
 	if len(pd.creditSmall[e]) == 0 {
 		pd.liveSmall = append(pd.liveSmall, e)
 	}
@@ -843,8 +871,12 @@ func (pd *PDOMFLP) addCreditSmall(e, p int, credit float64) {
 }
 
 // addCreditLarge records a new large-facility credit and folds its
-// contribution into the Constraint (4) accumulators.
+// contribution into the Constraint (4) accumulators, skipping a dead one
+// like addCreditSmall.
 func (pd *PDOMFLP) addCreditLarge(p int, credit float64) {
+	if !(credit > 0) {
+		return
+	}
 	pd.creditLarge = append(pd.creditLarge, pdCredit{point: p, credit: credit})
 	if pd.naiveBids {
 		return
@@ -897,24 +929,11 @@ func (pd *PDOMFLP) naiveLargeBids() []float64 {
 
 // refreshSmallAt lowers the small-facility credits of commodity e after a
 // new facility for e opened at candidate index ci — the event-driven
-// counterpart of refreshCreditsForSmall. It reads the (candidate, point)
-// distances through the costTable rows, which cache exactly
-// Distance(cands[ci], point), so every distance in the sweep is computed at
-// most once over the whole run instead of once per sweep; values are
-// byte-identical to the reference's direct calls.
+// counterpart of refreshCreditsForSmall — and drops the credits it lowers
+// to 0.
 func (pd *PDOMFLP) refreshSmallAt(e, ci int) {
-	credits := pd.creditSmall[e]
-	lowered := false
-	for j := range credits {
-		d := pd.ct.distTo(credits[j].point)[ci]
-		if d >= credits[j].credit {
-			continue
-		}
-		// Event-path only, so the incremental rows are always maintained.
-		pd.lowerBid(pd.bidSmall[e], credits[j].point, credits[j].credit, d)
-		credits[j].credit = d
-		lowered = true
-	}
+	var lowered bool
+	pd.creditSmall[e], lowered = pd.lowerCreditsAt(pd.creditSmall[e], pd.bidSmall[e], ci)
 	if lowered {
 		// Lowered bids can raise thresholds, which the monotone fold cannot
 		// track: stale the cached minima for this row.
@@ -927,47 +946,70 @@ func (pd *PDOMFLP) refreshSmallAt(e, ci int) {
 // refreshLargeAt lowers credits after a new large facility opened at
 // candidate index ci: the facility offers every commodity, so both the
 // large credits and every live commodity's small credits shrink. Iterating
-// liveSmall instead of all u rows skips commodities that never recorded a
-// credit (rows are independent, so the order difference vs the reference's
-// ascending sweep cannot change any value).
+// liveSmall instead of all u rows skips commodities without credits (rows
+// are independent, so the order difference vs the reference's ascending
+// sweep cannot change any value); rows emptied here leave liveSmall.
 func (pd *PDOMFLP) refreshLargeAt(ci int) {
-	lowered := false
-	for j := range pd.creditLarge {
-		d := pd.ct.distTo(pd.creditLarge[j].point)[ci]
-		if d >= pd.creditLarge[j].credit {
-			continue
-		}
-		pd.lowerBid(pd.bidLarge, pd.creditLarge[j].point, pd.creditLarge[j].credit, d)
-		pd.creditLarge[j].credit = d
-		lowered = true
-	}
+	var lowered bool
+	pd.creditLarge, lowered = pd.lowerCreditsAt(pd.creditLarge, pd.bidLarge, ci)
 	if lowered {
 		if r := pd.thrLargeLog(); r != nil {
 			r.invalidate()
 		}
 	}
+	live := pd.liveSmall[:0]
 	for _, e := range pd.liveSmall {
 		pd.refreshSmallAt(e, ci)
+		if len(pd.creditSmall[e]) > 0 {
+			live = append(live, e)
+		}
+	}
+	pd.liveSmall = live
+}
+
+// lowerCreditsAt caps every credit of a ledger at its distance to the new
+// facility at candidate index ci, correcting the (always maintained, on
+// the event path) bid row by the exact contribution each lowered credit
+// loses, and compacts out the credits that reach 0, keeping the order of
+// the rest in the ledger's own backing array. The distances come from the
+// costTable rows, which cache exactly Distance(cands[ci], point), so each
+// is computed at most once over the whole run instead of once per sweep;
+// values are byte-identical to the reference's direct calls.
+func (pd *PDOMFLP) lowerCreditsAt(credits []pdCredit, bids []float64, ci int) (kept []pdCredit, lowered bool) {
+	kept = credits[:0]
+	for _, cr := range credits {
+		if d := pd.ct.distTo(cr.point)[ci]; d < cr.credit {
+			pd.lowerBid(bids, cr.point, cr.credit, d)
+			cr.credit = d
+			lowered = true
+		}
+		if cr.credit > 0 {
+			kept = append(kept, cr)
+		}
+	}
+	return kept, lowered
+}
+
+// retireIfEmpty drops commodity e from liveSmall once its credit row is
+// empty, so a later first credit re-adds it exactly once.
+func (pd *PDOMFLP) retireIfEmpty(e int) {
+	if len(pd.creditSmall[e]) > 0 {
+		return
+	}
+	for i, x := range pd.liveSmall {
+		if x == e {
+			pd.liveSmall = append(pd.liveSmall[:i], pd.liveSmall[i+1:]...)
+			return
+		}
 	}
 }
 
 // refreshCreditsForSmall lowers the small-facility credits of commodity e
-// after a new facility for e opened at point m, correcting the bid
-// accumulators by the exact contribution each lowered credit loses.
-// Pre-refactor implementation, used by serveReference only; the event path
-// uses refreshSmallAt.
+// after a new facility for e opened at point m. Pre-refactor
+// implementation, used by serveReference only; the event path uses
+// refreshSmallAt.
 func (pd *PDOMFLP) refreshCreditsForSmall(e, m int) {
-	credits := pd.creditSmall[e]
-	for j := range credits {
-		d := pd.space.Distance(m, credits[j].point)
-		if d >= credits[j].credit {
-			continue
-		}
-		if !pd.naiveBids {
-			pd.lowerBid(pd.bidSmall[e], credits[j].point, credits[j].credit, d)
-		}
-		credits[j].credit = d
-	}
+	pd.creditSmall[e] = pd.lowerCreditsRef(pd.creditSmall[e], pd.bidSmall[e], m)
 }
 
 // refreshCreditsForLarge lowers credits after a large facility opened at
@@ -977,33 +1019,45 @@ func (pd *PDOMFLP) refreshCreditsForSmall(e, m int) {
 // provable no-op — when the request connected to an already-open large
 // facility); the event path uses refreshLargeAt.
 func (pd *PDOMFLP) refreshCreditsForLarge(m int) {
-	for j := range pd.creditLarge {
-		d := pd.space.Distance(m, pd.creditLarge[j].point)
-		if d >= pd.creditLarge[j].credit {
-			continue
-		}
-		if !pd.naiveBids {
-			pd.lowerBid(pd.bidLarge, pd.creditLarge[j].point, pd.creditLarge[j].credit, d)
-		}
-		pd.creditLarge[j].credit = d
-	}
+	pd.creditLarge = pd.lowerCreditsRef(pd.creditLarge, pd.bidLarge, m)
+	live := pd.liveSmall[:0]
 	for e := range pd.creditSmall {
 		pd.refreshCreditsForSmall(e, m)
+		if len(pd.creditSmall[e]) > 0 {
+			live = append(live, e)
+		}
 	}
+	pd.liveSmall = live
+}
+
+// lowerCreditsRef is the reference loops' credit sweep: it caps every
+// credit at its directly computed distance to the new facility at point m,
+// corrects the bid row by the exact contribution each lowered credit loses
+// (unless the instance runs naive bids), and compacts out the credits that
+// reach 0, keeping the order of the rest.
+func (pd *PDOMFLP) lowerCreditsRef(credits []pdCredit, bids []float64, m int) []pdCredit {
+	kept := credits[:0]
+	for _, cr := range credits {
+		if d := pd.space.Distance(m, cr.point); d < cr.credit {
+			if !pd.naiveBids {
+				pd.lowerBid(bids, cr.point, cr.credit, d)
+			}
+			cr.credit = d
+		}
+		if cr.credit > 0 {
+			kept = append(kept, cr)
+		}
+	}
+	return kept
 }
 
 // DualTotal returns Σ_r Σ_{e∈s_r} a_re, the dual objective the analysis
 // compares against 3·cost(ALG) (Corollary 8) and γ-scales for feasibility
 // (Corollary 17).
-func (pd *PDOMFLP) DualTotal() float64 {
-	var sum float64
-	for _, row := range pd.duals {
-		for _, v := range row {
-			sum += v
-		}
-	}
-	return sum
-}
+//
+// It is O(1): the sum is kept as rows freeze, adding the duals in the same
+// order as a rescan of every row would, so it is bit-identical to one.
+func (pd *PDOMFLP) DualTotal() float64 { return pd.dualSum }
 
 // Duals exposes the frozen dual variables: per served request, the demanded
 // commodity IDs and the aligned dual values. Callers must not mutate.

@@ -42,20 +42,21 @@ type Checkpoint struct {
 	Version   int    `json:"version"`
 	Algorithm string `json:"algorithm"`
 	Seed      int64  `json:"seed"`
-	// Compression flags how tenant base states are encoded: "" for inline
-	// JSON in base_state, CompressionFlate for flate-compressed bytes in
-	// base_state_z. WriteFile compresses; ReadCheckpointFile and Restore
-	// transparently decompress, so uncompressed v2 (and v1) checkpoints
-	// remain restorable.
+	// Compression flags how tenant base states are encoded: "" for the raw
+	// state bytes in base_state, CompressionFlate for flate-compressed bytes
+	// in base_state_z (both base64 in the JSON document). WriteFile
+	// compresses; ReadCheckpointFile and Restore transparently decompress,
+	// so uncompressed v2 (and v1) checkpoints remain restorable.
 	Compression string             `json:"compression,omitempty"`
 	Tenants     []TenantCheckpoint `json:"tenants"`
 }
 
 // CompressionFlate marks base states stored flate-compressed (RFC 1951) in
 // the base_state_z field. The base states are the bulk of a v2 checkpoint —
-// per-request duals and credit ledgers serialize to highly redundant JSON —
-// so compressing just them recovers most of the size v2 pays over v1 while
-// the arrival tails stay greppable.
+// PD's binary state carries a row of duals per served request, and the
+// JSON states of the other algorithms repeat their field names — so
+// compressing just them recovers most of the size v2 pays over v1 while the
+// arrival tails stay greppable.
 const CompressionFlate = "flate"
 
 // TenantCheckpoint is one tenant's restorable record.
@@ -64,10 +65,11 @@ type TenantCheckpoint struct {
 	TenantOrigin
 
 	// BaseState is the tenant algorithm's serialized state at BaseServed
-	// arrivals (online.StateCodec), with the cost accounting frozen at
-	// that moment. Absent (v1 checkpoints, or never-sealed v2 tenants)
-	// the tenant restores from genesis.
-	BaseState json.RawMessage `json:"base_state,omitempty"`
+	// arrivals (online.StateCodec: binary for PD-OMFLP, JSON for the other
+	// algorithms; base64 in the checkpoint document either way), with the
+	// cost accounting frozen at that moment. Absent (v1 checkpoints, or
+	// never-sealed v2 tenants) the tenant restores from genesis.
+	BaseState []byte `json:"base_state,omitempty"`
 	// BaseStateZ is BaseState flate-compressed (checkpoints with the
 	// Compression header set); exactly one of the two is present.
 	BaseStateZ       []byte  `json:"base_state_z,omitempty"`
@@ -449,7 +451,7 @@ func (ck *Checkpoint) Compressed() (*Checkpoint, error) {
 
 // Decompress normalizes the checkpoint in place: compressed base states are
 // inflated back into BaseState and the Compression header cleared, so every
-// consumer downstream sees the inline-JSON layout regardless of how the
+// consumer downstream sees the raw state bytes regardless of how the
 // artifact was encoded. Uncompressed checkpoints are left untouched.
 func (ck *Checkpoint) Decompress() error {
 	out, err := ck.decompressed()
